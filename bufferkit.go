@@ -33,12 +33,6 @@
 // context.Context and cancels mid-run; typed errors (ErrInfeasible,
 // ErrCanceled, *ValidationError) support errors.Is / errors.As branching.
 //
-// The O(bn²) and Lillis engines run on either of two candidate-list
-// representations — the paper's doubly-linked list or cache-friendly
-// structure-of-arrays slabs — selected with WithBackend; results are
-// bit-identical and the SoA default is the measured-faster one
-// (DESIGN.md §11).
-//
 // The package is a facade over focused internal packages: routing trees,
 // buffer libraries, exact Elmore evaluation, the candidate-list machinery
 // with the paper's convex pruning, the O(bn²) algorithm, the van Ginneken
@@ -112,8 +106,6 @@ type (
 	// PruneMode selects transient (exact) or destructive (paper-literal)
 	// convex pruning.
 	PruneMode = core.PruneMode
-	// Backend selects the candidate-list representation (see WithBackend).
-	Backend = core.Backend
 	// Net bundles a parsed net file: name, tree and driver.
 	Net = netlist.Net
 	// CostSlackPoint is one point of the cost–slack Pareto frontier.
@@ -138,13 +130,30 @@ const (
 	// PruneDestructive reproduces the paper's printed pruning code; exact
 	// on 2-pin nets, heuristic on multi-pin nets (DESIGN.md §4).
 	PruneDestructive = core.PruneDestructive
-	// BackendDefault resolves to the benchmark-chosen default backend.
-	BackendDefault = core.BackendDefault
-	// BackendList is the paper's doubly-linked candidate list.
-	BackendList = core.BackendList
-	// BackendSoA is the cache-friendly structure-of-arrays representation.
-	BackendSoA = core.BackendSoA
 )
+
+// Backend is what remains of the removed candidate-list backend choice:
+// the engines have one candidate representation. Its only user is
+// benchmark/servicemix.go, which spells bufferkitd's former cache-option
+// string with BackendDefault.Resolve(); remove it with the next change to
+// the benchmark.
+//
+// Deprecated: there is nothing to select.
+type Backend uint8
+
+// BackendDefault is the one Backend value.
+//
+// Deprecated: see Backend.
+const BackendDefault Backend = 0
+
+// Resolve returns b unchanged.
+//
+// Deprecated: see Backend.
+func (b Backend) Resolve() Backend { return b }
+
+// String returns "soa", the name the array representation had while it
+// was selectable.
+func (Backend) String() string { return "soa" }
 
 // NewTreeBuilder returns a builder whose vertex 0 is the source.
 func NewTreeBuilder() *TreeBuilder { return tree.NewBuilder() }

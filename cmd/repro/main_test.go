@@ -23,7 +23,7 @@ func quickBench(t *testing.T) {
 
 // TestBenchJSONOutput: `repro -bench-json -` must emit a parseable report
 // carrying every expected benchmark series — the engine reuse pair, the
-// list-vs-SoA regime matrix, the yield-sweep series, and the batch
+// warm-engine regimes, the yield-sweep series, and the batch
 // throughput ladder.
 func TestBenchJSONOutput(t *testing.T) {
 	quickBench(t)
@@ -46,9 +46,8 @@ func TestBenchJSONOutput(t *testing.T) {
 	want := []string{
 		"insert/coldshot",
 		"insert/warm",
-		"engine/regime=smallb/backend=list",
-		"engine/regime=smallb/backend=soa",
-		"engine/regime=deepline/backend=soa",
+		"engine/regime=smallb",
+		"engine/regime=deepline",
 		"yield/samples=16",
 		"yield/samples=64",
 		"yield/samples=64/robust",

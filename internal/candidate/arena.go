@@ -26,21 +26,15 @@ const (
 	decSlabBits  = 13 // 8192 decisions (160 KiB) per slab
 	decSlabSize  = 1 << decSlabBits
 	decSlabMask  = decSlabSize - 1
-	nodeSlabBits = 10 // 1024 nodes per slab
-	nodeSlabSize = 1 << nodeSlabBits
 	listSlabBits = 7 // 128 list headers per slab
 	listSlabSize = 1 << listSlabBits
 )
 
 // Arena owns all per-run allocation of the candidate machinery: decision
-// records, candidate list nodes, and list headers, each in chunked slabs.
-// Reset releases everything in O(1) (cursors rewind, slabs are retained), so
-// a warm arena re-runs the whole dynamic program with zero allocations.
-//
-// The package-level sync.Pool keeps recycling nodes for arena-less lists
-// (FromPairs, tests, ablations); arena-backed lists recycle through the
-// arena's own free lists instead, so their nodes never leak into the global
-// pool and never outlive a Reset.
+// records and list headers, each in chunked slabs. List headers keep their
+// slab capacity across Reset. Reset releases everything in O(1) (cursors
+// rewind, slabs are retained), so a warm arena re-runs the whole dynamic
+// program with zero allocations.
 //
 // An Arena is not safe for concurrent use; batch workloads use one arena per
 // worker (see bufferkit.InsertBatch).
@@ -49,17 +43,9 @@ type Arena struct {
 	nDec   int
 	curDec []decRecord // tail slab; alloc's fast path is one masked store
 
-	nodes    [][]Node
-	nNode    int
-	freeNode []*Node
-
 	lists    [][]List
 	nList    int
 	freeList []*List
-
-	soa     [][]SoAList
-	nSoA    int
-	freeSoA []*SoAList
 
 	fill []DecRef // reusable Fill work stack
 }
@@ -78,33 +64,27 @@ func Resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// Reset releases every decision, node and list handed out since the last
-// Reset, in O(1): slab memory is kept and the allocation cursors rewind.
-// All DecRefs, *Nodes and *Lists obtained from the arena become invalid.
+// Reset releases every decision and list handed out since the last Reset,
+// in O(1): slab memory is kept and the allocation cursors rewind. All
+// DecRefs and *Lists obtained from the arena become invalid.
 func (ar *Arena) Reset() {
 	ar.nDec = 0
 	ar.curDec = nil
-	ar.nNode = 0
-	ar.freeNode = ar.freeNode[:0]
 	ar.nList = 0
 	ar.freeList = ar.freeList[:0]
-	ar.nSoA = 0
-	ar.freeSoA = ar.freeSoA[:0]
 }
 
 // NumDecisions returns the number of live decision records.
 func (ar *Arena) NumDecisions() int { return ar.nDec }
 
-// Bytes reports the slab memory the arena currently retains — decision,
-// node and list slabs plus the SoA headers' retained column capacity.
+// Bytes reports the slab memory the arena currently retains — decision and
+// list-header slabs plus the headers' retained column capacity.
 // Slabs survive Reset by design, so this is the engine's steady-state
 // working-set footprint, not the live-object count of one run.
 func (ar *Arena) Bytes() int {
 	b := len(ar.dec) * decSlabSize * int(unsafe.Sizeof(decRecord{}))
-	b += len(ar.nodes) * nodeSlabSize * int(unsafe.Sizeof(Node{}))
 	b += len(ar.lists) * listSlabSize * int(unsafe.Sizeof(List{}))
-	b += len(ar.soa) * listSlabSize * int(unsafe.Sizeof(SoAList{}))
-	for _, slab := range ar.soa {
+	for _, slab := range ar.lists {
 		for i := range slab {
 			l := &slab[i]
 			b += (cap(l.q) + cap(l.c) + cap(l.q2) + cap(l.c2)) * 8
@@ -205,34 +185,10 @@ func (ar *Arena) Fill(r DecRef, p []int) {
 	ar.fill = stack[:0]
 }
 
-// newNode hands out a node from the arena: the free list first (nodes
-// recycled by list pruning), then the slab cursor.
-func (ar *Arena) newNode(q, c float64, dec DecRef) *Node {
-	var nd *Node
-	if n := len(ar.freeNode); n > 0 {
-		nd = ar.freeNode[n-1]
-		ar.freeNode = ar.freeNode[:n-1]
-	} else {
-		i := ar.nNode
-		s := i >> nodeSlabBits
-		if s == len(ar.nodes) {
-			ar.nodes = append(ar.nodes, make([]Node, nodeSlabSize))
-		}
-		nd = &ar.nodes[s][i&(nodeSlabSize-1)]
-		ar.nNode++
-	}
-	nd.Q, nd.C, nd.Dec = q, c, dec
-	nd.prev, nd.next = nil, nil
-	return nd
-}
-
-func (ar *Arena) putNode(nd *Node) {
-	ar.freeNode = append(ar.freeNode, nd)
-}
-
-// NewList returns an empty list whose nodes and decisions allocate from the
-// arena. The header itself comes from arena slabs too, so warm runs create
-// lists without touching the heap.
+// NewList returns an empty list whose decisions allocate from the arena.
+// Headers come from arena slabs and keep their q/c/dec slab capacity across
+// Reset (only the cursors rewind), so warm runs create and grow lists
+// without touching the heap.
 func (ar *Arena) NewList() *List {
 	var l *List
 	if n := len(ar.freeList); n > 0 {
@@ -247,38 +203,8 @@ func (ar *Arena) NewList() *List {
 		l = &ar.lists[s][i&(listSlabSize-1)]
 		ar.nList++
 	}
-	l.front, l.back, l.n, l.ar = nil, nil, 0, ar
-	return l
-}
-
-// NewSoAList returns an empty structure-of-arrays list whose decisions
-// allocate from the arena. Headers come from arena slabs and keep their
-// q/c/dec slab capacity across Reset (only the cursors rewind), so warm
-// runs create and grow SoA lists without touching the heap.
-func (ar *Arena) NewSoAList() *SoAList {
-	var l *SoAList
-	if n := len(ar.freeSoA); n > 0 {
-		l = ar.freeSoA[n-1]
-		ar.freeSoA = ar.freeSoA[:n-1]
-	} else {
-		i := ar.nSoA
-		s := i >> listSlabBits
-		if s == len(ar.soa) {
-			ar.soa = append(ar.soa, make([]SoAList, listSlabSize))
-		}
-		l = &ar.soa[s][i&(listSlabSize-1)]
-		ar.nSoA++
-	}
 	l.q, l.c, l.dec = l.q[:0], l.c[:0], l.dec[:0]
 	l.q2, l.c2, l.dec2 = l.q2[:0], l.c2[:0], l.dec2[:0]
 	l.ar = ar
-	return l
-}
-
-// NewSink returns a single-candidate list for a sink with RAT q and load c,
-// recording its base-case decision in the arena.
-func (ar *Arena) NewSink(q, c float64, vertex int) *List {
-	l := ar.NewList()
-	l.pushBack(ar.newNode(q, c, ar.SinkDec(vertex)))
 	return l
 }

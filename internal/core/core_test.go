@@ -294,6 +294,17 @@ func TestRejectsInvalidLibrary(t *testing.T) {
 	if _, err := Insert(tr, library.Library{}, Options{}); err == nil {
 		t.Fatal("accepted empty library")
 	}
+	// A failed Reset must not leave the engine runnable on a stale instance.
+	eng := NewEngine()
+	if err := eng.Reset(tr, library.Generate(2), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Reset(tr, library.Library{}, Options{}); err == nil {
+		t.Fatal("Reset accepted empty library")
+	}
+	if err := eng.Run(&Result{}); err == nil {
+		t.Fatal("Run succeeded after a failed Reset")
+	}
 }
 
 func TestPruneModeString(t *testing.T) {
@@ -302,5 +313,33 @@ func TestPruneModeString(t *testing.T) {
 	}
 	if PruneMode(9).String() != "PruneMode(9)" {
 		t.Fatal("unknown PruneMode string wrong")
+	}
+}
+
+// TestWarmEngineZeroAllocs asserts the acceptance criterion: a warm engine
+// re-running the dynamic program performs zero steady-state heap
+// allocations.
+func TestWarmEngineZeroAllocs(t *testing.T) {
+	lib := library.Generate(8)
+	tr := netgen.TwoPin(8000, 40, 12, 1000, netgen.PaperWire())
+	eng := NewEngine()
+	if err := eng.Reset(tr, lib, Options{Driver: delay.Driver{R: 0.25}}); err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{}
+	if err := eng.Run(res); err != nil { // warm the arena slabs
+		t.Fatal(err)
+	}
+	want := res.Slack
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := eng.Run(res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Slack != want {
+			t.Fatalf("warm run diverged: %g != %g", res.Slack, want)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm Run allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -136,13 +136,13 @@ func (e *engine) run() ([]Point, error) {
 	root := lists[0]
 	var out []Point
 	for _, w := range root.sortedCosts() {
-		best := root[w].BestForR(e.opt.Driver.R)
-		slack := best.Q - e.opt.Driver.R*best.C - e.opt.Driver.K
+		q, c, dec, _ := root[w].Best(e.opt.Driver.R)
+		slack := q - e.opt.Driver.R*c - e.opt.Driver.K
 		if len(out) > 0 && slack <= out[len(out)-1].Slack {
 			continue // dominated by a cheaper level
 		}
 		p := delay.NewPlacement(e.t.Len())
-		e.arena.Fill(best.Dec, p)
+		e.arena.Fill(dec, p)
 		out = append(out, Point{Cost: w, Slack: slack, Placement: p})
 	}
 	return out, nil
@@ -153,9 +153,12 @@ func (e *engine) run() ([]Point, error) {
 func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 	type slotKey struct{ level, rank int }
 	slots := map[slotKey]candidate.Beta{}
+	hull := &candidate.Hull{}
 	for _, w := range acc.sortedCosts() {
-		hull := acc[w].HullView()
-		p := 0
+		l := acc[w]
+		hull.Reset()
+		l.AppendHullInto(hull)
+		p, cursor := 0, 0
 		for _, ti := range e.orderR {
 			if len(allowed) > 0 && !contains(allowed, ti) {
 				continue
@@ -165,16 +168,17 @@ func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 			if e.opt.MaxCost > 0 && nw > e.opt.MaxCost {
 				continue
 			}
-			for p+1 < len(hull) && hull[p+1].Q-b.R*hull[p+1].C > hull[p].Q-b.R*hull[p].C {
+			for p+1 < hull.Len() && hull.Q[p+1]-b.R*hull.C[p+1] > hull.Q[p]-b.R*hull.C[p] {
 				p++
 			}
-			cand := hull[p]
+			var srcDec candidate.DecRef
+			srcDec, cursor = l.HullDec(hull, p, cursor)
 			beta := candidate.Beta{
-				Q:      cand.Q - b.R*cand.C - b.K,
+				Q:      hull.Q[p] - b.R*hull.C[p] - b.K,
 				C:      b.Cin,
 				Buffer: ti,
 				Vertex: v,
-				SrcDec: cand.Dec,
+				SrcDec: srcDec,
 			}
 			key := slotKey{nw, e.cinRank[ti]}
 			if old, ok := slots[key]; !ok || beta.Q > old.Q {
@@ -233,9 +237,10 @@ func mergeLevels(a, b levels, maxCost int) levels {
 
 // union inserts every candidate of src into dst, keeping dst nonredundant.
 func union(dst, src *candidate.List) {
-	betas := make([]candidate.Beta, 0, src.Len())
-	for nd := src.Front(); nd != nil; nd = nd.Next() {
-		betas = append(betas, candidate.Beta{Q: nd.Q, C: nd.C, Dec: nd.Dec})
+	betas := make([]candidate.Beta, src.Len())
+	for i := range betas {
+		p := src.At(i)
+		betas[i] = candidate.Beta{Q: p.Q, C: p.C, Dec: src.DecAt(i)}
 	}
 	dst.MergeBetas(betas)
 }
@@ -252,7 +257,7 @@ func (e *engine) crossLevelPrune(acc levels) {
 	frontier := e.arena.NewList()
 	for _, w := range costs {
 		l := acc[w]
-		pruneAgainst(l, frontier)
+		l.PruneDominatedBy(frontier)
 		if l.Len() == 0 {
 			acc[w].Free()
 			delete(acc, w)
@@ -261,33 +266,6 @@ func (e *engine) crossLevelPrune(acc levels) {
 		union(frontier, l)
 	}
 	frontier.Free()
-}
-
-// pruneAgainst removes from l every candidate dominated by a frontier
-// candidate (frontier Q ≥ q with C ≤ c). Both lists are C-sorted, so one
-// forward sweep suffices.
-func pruneAgainst(l, frontier *candidate.List) {
-	if frontier.Len() == 0 {
-		return
-	}
-	f := frontier.Front()
-	bestQ := 0.0
-	hasF := false
-	nd := l.Front()
-	for nd != nil {
-		for f != nil && f.C <= nd.C {
-			bestQ = f.Q // frontier Q increases with C
-			hasF = true
-			f = f.Next()
-		}
-		if hasF && bestQ >= nd.Q {
-			nxt := nd.Next()
-			l.Remove(nd)
-			nd = nxt
-		} else {
-			nd = nd.Next()
-		}
-	}
 }
 
 func contains(s []int, x int) bool {

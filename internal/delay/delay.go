@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"bufferkit/internal/library"
+	"bufferkit/internal/solvererr"
 	"bufferkit/internal/tree"
 )
 
@@ -21,6 +22,15 @@ import (
 type Driver struct {
 	R float64
 	K float64
+}
+
+// Validate checks that R and K are finite and non-negative: a negative
+// driver would credit slack it cannot deliver.
+func (d Driver) Validate() error {
+	if !(d.R >= 0) || math.IsInf(d.R, 0) || !(d.K >= 0) || math.IsInf(d.K, 0) {
+		return solvererr.Validation("delay", "driver", "res %g and k %g must be finite and non-negative", d.R, d.K)
+	}
+	return nil
 }
 
 // WireDelay returns the Elmore delay R·(C/2 + cdown) of a wire with total

@@ -78,6 +78,9 @@ func ParseNet(r io.Reader) (*Net, error) {
 			if net.Driver.K, err = fval(kv, "k", 0); err != nil {
 				return nil, fail("%v", err)
 			}
+			if err := net.Driver.Validate(); err != nil {
+				return nil, fmt.Errorf("netlist: line %d: %w", lineNo, err)
+			}
 		case "node", "sink":
 			if len(f) < 2 {
 				return nil, fail("missing vertex name")
@@ -167,10 +170,11 @@ func ParseNet(r io.Reader) (*Net, error) {
 					id = b.AddInternal(parent, er, ec)
 				}
 			}
-			if id >= 0 {
-				b.SetName(id, name)
-				ids[name] = id
+			if id < 0 {
+				return nil, fail("%v", b.Err())
 			}
+			b.SetName(id, name)
+			ids[name] = id
 		default:
 			return nil, fail("unknown directive %q", f[0])
 		}

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/netgen"
+	"bufferkit/internal/solvererr"
 	"bufferkit/internal/tree"
 )
 
@@ -232,5 +234,32 @@ func TestParseLibraryErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseNetReportsBadVertexCause: a vertex the tree builder rejects fails
+// on its own line with the builder's reason, not later as an unknown
+// parent when a child names it.
+func TestParseNetReportsBadVertexCause(t *testing.T) {
+	in := "node n1 parent src res -0.03 cap 12 buffer\nsink s1 parent n1 res 0.1 cap 1 load 2 rat 100\n"
+	_, err := ParseNet(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), "negative edge RC") {
+		t.Fatalf("err = %v, want line 1 and the negative edge RC", err)
+	}
+	if strings.Contains(err.Error(), "unknown parent") {
+		t.Fatalf("err = %v reports the symptom, not the cause", err)
+	}
+}
+
+// TestParseNetRejectsBadDriver: a negative or non-finite driver is a typed
+// validation error naming the driver field and the line.
+func TestParseNetRejectsBadDriver(t *testing.T) {
+	for _, drv := range []string{"res -0.2 k 15", "res 0.2 k -15", "res inf k 1", "res 0.2 k NaN"} {
+		in := "net x\ndriver " + drv + "\nsink s parent src res 0.1 cap 1 load 2 rat 100\n"
+		_, err := ParseNet(strings.NewReader(in))
+		var verr *solvererr.ValidationError
+		if !errors.As(err, &verr) || verr.Field != "driver" || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("driver %q: err = %v, want a driver ValidationError on line 2", drv, err)
+		}
 	}
 }

@@ -617,16 +617,14 @@ func (w *trackingWriter) status() int {
 }
 
 // solveOptions are the request fields that select and configure an
-// algorithm, shared by the solve and batch payloads.
+// algorithm, shared by the solve and batch payloads. Unknown fields are
+// ignored, including "backend", which older clients send to pick a
+// candidate-list representation that no longer exists.
 type solveOptions struct {
 	// Algorithm is a registry name; "" means bufferkit.AlgoNew.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Prune is "transient" (default) or "destructive" (AlgoNew only).
 	Prune string `json:"prune,omitempty"`
-	// Backend is the candidate-list representation: "list", "soa", or ""
-	// for the benchmark-chosen default. Results are identical across
-	// backends; the field exists so ablation traffic can pin one.
-	Backend string `json:"backend,omitempty"`
 	// MaxCost caps total buffer cost (AlgoCostSlack only; 0 = no cap).
 	MaxCost int `json:"max_cost,omitempty"`
 	// NoStats skips the Stats copy on the response.
@@ -656,16 +654,10 @@ func (o solveOptions) newSolver(lib bufferkit.Library, extra ...bufferkit.Option
 	default:
 		return nil, badRequestf("prune", "unknown prune mode %q (transient or destructive)", o.Prune)
 	}
-	switch o.Backend {
-	case "", "default", "list", "soa":
-	default:
-		return nil, badRequestf("backend", "unknown backend %q (list or soa)", o.Backend)
-	}
 	opts := append([]bufferkit.Option{
 		bufferkit.WithLibrary(lib),
 		bufferkit.WithAlgorithm(algo),
 		bufferkit.WithPruneMode(mode),
-		bufferkit.WithBackend(o.Backend),
 		bufferkit.WithMaxCost(o.MaxCost),
 		bufferkit.WithStats(!o.NoStats),
 	}, extra...)
@@ -684,14 +676,7 @@ func (o solveOptions) cacheOptions() string {
 	if prune == "" {
 		prune = "transient"
 	}
-	// Like algo and prune, backend folds in as its resolved value, so
-	// "", "default" and the concrete default backend share one cache
-	// entry — the results are bit-identical by contract.
-	backend := o.Backend
-	if backend == "" || backend == "default" {
-		backend = bufferkit.BackendDefault.Resolve().String()
-	}
-	return fmt.Sprintf("algo=%s prune=%s backend=%s maxcost=%d stats=%t", algo, prune, backend, o.MaxCost, !o.NoStats)
+	return fmt.Sprintf("algo=%s prune=%s maxcost=%d stats=%t", algo, prune, o.MaxCost, !o.NoStats)
 }
 
 // timeout resolves the request's solve budget against the server limits.

@@ -613,50 +613,31 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestSolveBackendField: the backend request field selects a candidate-list
-// representation (identical results), distinct backends get distinct cache
-// keys, and unknown names map to a 400 naming the field.
+// TestSolveBackendField: the request field "backend", which used to pick a
+// candidate-list representation, is ignored. Any value gets the answer and
+// the cache entry of a request without it, so older clients keep working.
 func TestSolveBackendField(t *testing.T) {
-	srv := New(Config{})
-	h := srv.Handler()
+	h := New(Config{}).Handler()
 	netT, libT := readTestdata(t, "line.net"), readTestdata(t, "lib8.buf")
-	slacks := map[string]float64{}
-	for _, backend := range []string{"list", "soa"} {
-		rec := post(t, h, "/v1/solve", solveRequest{Net: netT, Library: libT,
-			solveOptions: solveOptions{Backend: backend}})
+	rec := post(t, h, "/v1/solve", solveRequest{Net: netT, Library: libT})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var want solveResponse
+	decodeInto(t, rec, &want)
+	type legacyRequest struct {
+		solveRequest
+		Backend string `json:"backend"`
+	}
+	for _, backend := range []string{"list", "soa", "nope"} {
+		rec := post(t, h, "/v1/solve", legacyRequest{solveRequest{Net: netT, Library: libT}, backend})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("backend=%s: status %d: %s", backend, rec.Code, rec.Body.String())
 		}
 		var resp solveResponse
 		decodeInto(t, rec, &resp)
-		if resp.Cached {
-			t.Fatalf("backend=%s unexpectedly served from cache — backends must have distinct keys", backend)
+		if !resp.Cached || resp.Slack != want.Slack {
+			t.Fatalf("backend=%s: cached=%v slack %v, want the cached %v", backend, resp.Cached, resp.Slack, want.Slack)
 		}
-		slacks[backend] = resp.Slack
-	}
-	if slacks["list"] != slacks["soa"] {
-		t.Fatalf("backends disagree over HTTP: %v", slacks)
-	}
-	// "" and "default" normalize to the resolved default backend in the
-	// cache key, so they hit the entry the explicit default stored.
-	def := bufferkit.BackendDefault.Resolve().String()
-	for _, backend := range []string{"", "default"} {
-		rec := post(t, h, "/v1/solve", solveRequest{Net: netT, Library: libT,
-			solveOptions: solveOptions{Backend: backend}})
-		var resp solveResponse
-		decodeInto(t, rec, &resp)
-		if !resp.Cached {
-			t.Fatalf("backend=%q missed the cache entry stored by backend=%q", backend, def)
-		}
-	}
-	rec := post(t, h, "/v1/solve", solveRequest{Net: netT, Library: libT,
-		solveOptions: solveOptions{Backend: "nope"}})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status %d", rec.Code)
-	}
-	var errResp errorResponse
-	decodeInto(t, rec, &errResp)
-	if errResp.Field != "backend" {
-		t.Fatalf("error field = %q, want backend", errResp.Field)
 	}
 }

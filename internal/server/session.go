@@ -113,19 +113,31 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	e, created, err := s.getOrCreateSession(id, &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
+	var e *sessionEntry
+	var created bool
+	for {
+		var err error
+		e, created, err = s.getOrCreateSession(id, &req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		e.mu.Lock()
+		if !e.closed {
+			break
+		}
+		// Evicted between table lookup and lock. Eviction removes the entry
+		// from the table before closing it, so a request that carries net
+		// and library looks again and recreates the session; any other
+		// request must be retried by the client with both.
+		e.mu.Unlock()
+		if req.Net == "" || req.Library == "" {
+			s.writeError(w, &httpError{status: http.StatusNotFound, field: "id",
+				msg: "session " + id + " was evicted; retry with net and library to recreate it"})
+			return
+		}
 	}
-	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		// Evicted between table lookup and lock; the client's retry recreates.
-		s.writeError(w, &httpError{status: http.StatusNotFound, field: "id",
-			msg: "session " + id + " was evicted; retry with net and library to recreate it"})
-		return
-	}
 
 	if len(req.Patches) > 0 {
 		deltas, err := e.buildDeltas(req.Patches)

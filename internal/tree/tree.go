@@ -270,6 +270,10 @@ func (b *Builder) AddBufferPosRestricted(parent int, edgeR, edgeC float64, allow
 	return id
 }
 
+// Err returns the first error an Add call hit, or nil. Add calls report
+// failure by returning -1; Build returns the same error.
+func (b *Builder) Err() error { return b.err }
+
 // SetName labels vertex v (for netlist round-trips and diagnostics).
 func (b *Builder) SetName(v int, name string) {
 	if b.err == nil && v >= 0 && v < len(b.verts) {

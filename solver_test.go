@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -536,49 +537,59 @@ func TestRunBatchMatchesInsertBatch(t *testing.T) {
 	}
 }
 
-// TestBackendSelection covers the facade surface of the backend ablation:
-// WithBackend names, the pinned AlgoCore/AlgoCoreSoA registry entries, and
-// the validation error for unknown names. Every combination must agree
-// bit-exactly, since the backends differ only in memory layout.
+// TestBackendSelection: candidate-list backend selection is gone. The
+// pinned "core"/"core-soa" registry entries no longer resolve, and the one
+// remaining name, the deprecated BackendDefault, resolves to "soa".
 func TestBackendSelection(t *testing.T) {
-	net := bufferkit.TwoPinNet(8000, 16, 10, 900, bufferkit.PaperWire())
 	lib := bufferkit.GenerateLibrary(6)
-	drv := bufferkit.Driver{R: 0.25, K: 10}
+	for _, name := range []string{"core", "core-soa"} {
+		if slices.Contains(bufferkit.Algorithms(), name) {
+			t.Fatalf("registry still lists %q", name)
+		}
+		if _, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib), bufferkit.WithAlgorithm(name)); err == nil {
+			t.Fatalf("NewSolver accepted algorithm %q", name)
+		}
+	}
+	if got := bufferkit.BackendDefault.Resolve().String(); got != "soa" {
+		t.Fatalf("BackendDefault resolves to %q, want soa", got)
+	}
+}
 
-	var want float64
-	first := true
-	runWith := func(opts ...bufferkit.Option) {
-		t.Helper()
-		s, err := bufferkit.NewSolver(append([]bufferkit.Option{
-			bufferkit.WithLibrary(lib), bufferkit.WithDriver(drv),
-		}, opts...)...)
+// TestSolverRejectsBadDriver: a negative or non-finite driver is rejected
+// with a typed validation error naming the driver, whether it reaches the
+// Solver as the solver-wide driver, as a per-net batch driver, or on a
+// chip net — instead of solving to an inflated slack.
+func TestSolverRejectsBadDriver(t *testing.T) {
+	lib := bufferkit.GenerateLibrary(4)
+	net := bufferkit.TwoPinNet(5000, 8, 10, 900, bufferkit.PaperWire())
+	isDriverErr := func(err error) bool {
+		var verr *bufferkit.ValidationError
+		return errors.As(err, &verr) && verr.Field == "driver"
+	}
+	for _, drv := range []bufferkit.Driver{{R: -0.2, K: 15}, {R: 0.2, K: -15}, {R: math.Inf(1)}, {K: math.NaN()}} {
+		s, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib), bufferkit.WithDriver(drv))
+		if err == nil {
+			_, err = s.Run(context.Background(), net)
+			s.Close()
+		}
+		if !isDriverErr(err) {
+			t.Fatalf("driver %+v: Run err = %v, want a driver ValidationError", drv, err)
+		}
+		_, err = bufferkit.NewSolver(bufferkit.WithLibrary(lib),
+			bufferkit.WithDrivers([]bufferkit.Driver{{R: 0.1}, drv}))
+		if !isDriverErr(err) {
+			t.Fatalf("per-net driver %+v: err = %v, want a driver ValidationError", drv, err)
+		}
+		inst := bufferkit.GenerateChip(bufferkit.ChipGenOpts{W: 4, H: 4, Nets: 1, Capacity: 4, Seed: 1})
+		inst.Nets[0].Driver = drv
+		cs, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		res, err := s.Run(ctxBG(), net)
-		if err != nil {
-			t.Fatal(err)
+		_, err = cs.SolveChip(context.Background(), inst)
+		cs.Close()
+		if !isDriverErr(err) {
+			t.Fatalf("chip net driver %+v: err = %v, want a driver ValidationError", drv, err)
 		}
-		if first {
-			want, first = res.Slack, false
-		} else if res.Slack != want {
-			t.Fatalf("backend variant diverged: %.17g != %.17g", res.Slack, want)
-		}
-	}
-	for _, backend := range []string{"", "default", "list", "soa"} {
-		runWith(bufferkit.WithBackend(backend))
-	}
-	for _, algo := range []string{bufferkit.AlgoCore, bufferkit.AlgoCoreSoA} {
-		runWith(bufferkit.WithAlgorithm(algo))
-		// The pinned entries must override a conflicting WithBackend.
-		runWith(bufferkit.WithAlgorithm(algo), bufferkit.WithBackend("list"))
-	}
-	// Lillis honors WithBackend too.
-	runWith(bufferkit.WithAlgorithm(bufferkit.AlgoLillis), bufferkit.WithBackend("list"))
-	runWith(bufferkit.WithAlgorithm(bufferkit.AlgoLillis), bufferkit.WithBackend("soa"))
-
-	if _, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib), bufferkit.WithBackend("nope")); err == nil {
-		t.Fatal("NewSolver accepted an unknown backend name")
 	}
 }
