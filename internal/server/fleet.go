@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bufferkit/internal/fleet"
@@ -170,23 +169,29 @@ func (s *Server) handleSolveForward(w http.ResponseWriter, r *http.Request, req 
 func (s *Server) forwardSolve(ctx context.Context, req *solveRequest, key cache.Key, h uint64, targets []string) (*solveResponse, error) {
 	fcfg := s.fleet.Config()
 	tr := obs.TraceFromContext(ctx)
-	var arms atomic.Int32
+	// Each arm's span opens at launch, before Hedged can return: an arm
+	// that loses the race before its goroutine runs still appears in the
+	// trace, which is sealed once the winner's response is written.
+	spans := make([]obs.SpanRef, len(targets))
 	out, winner, hedged, err := fleet.Hedged(ctx, targets, fcfg.HedgeAfter,
 		s.fleet.AllowHedge,
 		func(i int) {
+			name := "peer_call"
 			if i > 0 {
 				s.fleetHedges.Add(1)
 				tr.Set("hedged", true)
-			}
-		},
-		func(ctx context.Context, peer string) (forwardOutcome, error) {
-			name := "peer_call"
-			if arms.Add(1) > 1 {
 				name = "hedge_attempt"
 			}
-			sp := tr.StartSpan(name)
-			sp.Set("peer", peer)
-			defer sp.End()
+			spans[i] = tr.StartSpan(name)
+			spans[i].Set("peer", targets[i])
+		},
+		func(ctx context.Context, peer string) (forwardOutcome, error) {
+			for i, t := range targets {
+				if t == peer {
+					defer spans[i].End()
+					break
+				}
+			}
 			return s.callPeerSolve(ctx, peer, req, tr.Traceparent())
 		})
 	if err != nil {
