@@ -12,6 +12,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Kind classifies a vertex of the routing tree.
@@ -94,9 +95,11 @@ type Vertex struct {
 type Tree struct {
 	Verts []Vertex
 
-	// children[v] lists the child vertex indices of v, derived once by the
-	// Builder so traversals do not rebuild adjacency.
-	children [][]int
+	// The children of v are kids[kidOff[v]:kidOff[v+1]] in increasing
+	// index order: one flat adjacency array derived once by the Builder, so
+	// traversals do not rebuild it and a build allocates O(1) slices.
+	kidOff []int
+	kids   []int
 	// postorder caches PostOrder.
 	postorder []int
 }
@@ -106,13 +109,13 @@ func (t *Tree) Len() int { return len(t.Verts) }
 
 // Children returns the child indices of vertex v. The returned slice is
 // shared; callers must not modify it.
-func (t *Tree) Children(v int) []int { return t.children[v] }
+func (t *Tree) Children(v int) []int { return t.kids[t.kidOff[v]:t.kidOff[v+1]:t.kidOff[v+1]] }
 
 // Root returns the index of the source vertex (always 0).
 func (t *Tree) Root() int { return 0 }
 
 // IsLeaf reports whether v has no children.
-func (t *Tree) IsLeaf(v int) bool { return len(t.children[v]) == 0 }
+func (t *Tree) IsLeaf(v int) bool { return t.kidOff[v] == t.kidOff[v+1] }
 
 // PostOrder returns the vertex indices in post order (children before
 // parents, root last). The returned slice is shared; callers must not
@@ -177,16 +180,10 @@ func (t *Tree) TotalWireCap() float64 {
 // Clone returns a deep copy of the tree.
 func (t *Tree) Clone() *Tree {
 	nt := &Tree{
-		Verts:     make([]Vertex, len(t.Verts)),
-		children:  make([][]int, len(t.children)),
-		postorder: make([]int, len(t.postorder)),
-	}
-	copy(nt.Verts, t.Verts)
-	copy(nt.postorder, t.postorder)
-	for i, cs := range t.children {
-		if cs != nil {
-			nt.children[i] = append([]int(nil), cs...)
-		}
+		Verts:     append([]Vertex(nil), t.Verts...),
+		kidOff:    append([]int(nil), t.kidOff...),
+		kids:      append([]int(nil), t.kids...),
+		postorder: append([]int(nil), t.postorder...),
 	}
 	for i := range nt.Verts {
 		if a := nt.Verts[i].Allowed; a != nil {
@@ -270,6 +267,11 @@ func (b *Builder) AddBufferPosRestricted(parent int, edgeR, edgeC float64, allow
 	return id
 }
 
+// Grow reserves room for n more vertices, so a caller that knows the net's
+// size, such as a parser that has counted lines, adds them without
+// regrowing.
+func (b *Builder) Grow(n int) { b.verts = slices.Grow(b.verts, n) }
+
 // Err returns the first error an Add call hit, or nil. Add calls report
 // failure by returning -1; Build returns the same error.
 func (b *Builder) Err() error { return b.err }
@@ -310,7 +312,11 @@ func (t *Tree) finalize() error {
 	if n == 0 || t.Verts[0].Kind != Source || t.Verts[0].Parent != -1 {
 		return errors.New("tree: vertex 0 must be the source with parent -1")
 	}
-	t.children = make([][]int, n)
+	// Count each vertex's children into kidOff[p+1] and prefix-sum, so
+	// kidOff[p] is where p's block starts. Placing children in index order
+	// advances kidOff[p] to the block's end; shifting by one restores the
+	// starts.
+	t.kidOff = make([]int, n+1)
 	for i := 1; i < n; i++ {
 		p := t.Verts[i].Parent
 		if p < 0 || p >= n {
@@ -319,8 +325,19 @@ func (t *Tree) finalize() error {
 		if p >= i {
 			return fmt.Errorf("tree: vertex %d: parent %d not topologically earlier", i, p)
 		}
-		t.children[p] = append(t.children[p], i)
+		t.kidOff[p+1]++
 	}
+	for v := 0; v < n; v++ {
+		t.kidOff[v+1] += t.kidOff[v]
+	}
+	t.kids = make([]int, n-1)
+	for i := 1; i < n; i++ {
+		p := t.Verts[i].Parent
+		t.kids[t.kidOff[p]] = i
+		t.kidOff[p]++
+	}
+	copy(t.kidOff[1:], t.kidOff[:n])
+	t.kidOff[0] = 0
 	for i := 0; i < n; i++ {
 		v := &t.Verts[i]
 		switch v.Kind {
@@ -329,7 +346,7 @@ func (t *Tree) finalize() error {
 				return fmt.Errorf("tree: vertex %d: extra source", i)
 			}
 		case Sink:
-			if len(t.children[i]) != 0 {
+			if !t.IsLeaf(i) {
 				return fmt.Errorf("tree: sink %d has children", i)
 			}
 			if v.Cap < 0 {
@@ -339,7 +356,7 @@ func (t *Tree) finalize() error {
 				return fmt.Errorf("tree: sink %d cannot be a buffer position", i)
 			}
 		case Internal:
-			if len(t.children[i]) == 0 {
+			if t.IsLeaf(i) {
 				return fmt.Errorf("tree: internal vertex %d is a leaf (leaves must be sinks)", i)
 			}
 		default:
@@ -349,7 +366,7 @@ func (t *Tree) finalize() error {
 			return fmt.Errorf("tree: vertex %d: negative edge RC (%g, %g)", i, v.EdgeR, v.EdgeC)
 		}
 	}
-	if len(t.children[0]) == 0 {
+	if t.IsLeaf(0) {
 		return errors.New("tree: source has no children")
 	}
 	t.computePostOrder()
@@ -369,7 +386,7 @@ func (t *Tree) computePostOrder() {
 	stack = append(stack, frame{v: 0})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		cs := t.children[f.v]
+		cs := t.Children(f.v)
 		if f.next < len(cs) {
 			c := cs[f.next]
 			f.next++
