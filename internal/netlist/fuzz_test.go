@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -57,6 +58,45 @@ func FuzzNetRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("WriteNet is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s",
+				first.String(), second.String())
+		}
+	})
+}
+
+// FuzzLibraryRoundTrip asserts the same of WriteLibrary and ParseLibrary:
+// any library ParseLibrary accepts re-parses from its written form to the
+// same buffer types, and writing that again gives the identical bytes.
+// Seeded with the repository's testdata library and sampleLib.
+func FuzzLibraryRoundTrip(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "lib8.buf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(data))
+	f.Add(sampleLib)
+
+	f.Fuzz(func(t *testing.T, in string) {
+		lib, err := ParseLibrary(strings.NewReader(in))
+		if err != nil {
+			t.Skip() // invalid inputs are ParseLibrary's to reject, not ours
+		}
+		var first bytes.Buffer
+		if err := WriteLibrary(&first, lib); err != nil {
+			t.Fatalf("WriteLibrary rejected a parsed library: %v", err)
+		}
+		lib2, err := ParseLibrary(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ParseLibrary rejected WriteLibrary output: %v\n%s", err, first.String())
+		}
+		if !slices.Equal(lib, lib2) {
+			t.Fatalf("round trip changed the library: %+v vs %+v", lib2, lib)
+		}
+		var second bytes.Buffer
+		if err := WriteLibrary(&second, lib2); err != nil {
+			t.Fatalf("second WriteLibrary failed: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("WriteLibrary is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s",
 				first.String(), second.String())
 		}
 	})
