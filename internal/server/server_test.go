@@ -132,6 +132,9 @@ func TestSolveHappyPath(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
+	if body := rec.Body.String(); strings.IndexByte(body, '\n') != len(body)-1 {
+		t.Fatalf("body is not one line of JSON:\n%s", body)
+	}
 	var resp solveResponse
 	decodeInto(t, rec, &resp)
 	if resp.Net != "line" || resp.Algorithm != "new" || resp.Cached {
