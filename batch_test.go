@@ -1,6 +1,7 @@
 package bufferkit_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -20,25 +21,35 @@ func batchNets(n int) []*bufferkit.Tree {
 	return nets
 }
 
-// TestInsertBatchMatchesSequential is the batch correctness property: with
-// any worker count, InsertBatch must produce results byte-identical to a
-// sequential Insert per net — same slack bits, same placement, same stats.
-func TestInsertBatchMatchesSequential(t *testing.T) {
+// batchSolver builds a Solver for batch runs on lib with driver d.
+func batchSolver(t testing.TB, lib bufferkit.Library, d bufferkit.Driver, workers int) *bufferkit.Solver {
+	t.Helper()
+	s, err := bufferkit.NewSolver(
+		bufferkit.WithLibrary(lib),
+		bufferkit.WithDriver(d),
+		bufferkit.WithWorkers(workers),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRunBatchMatchesSequential is the batch correctness property: with
+// any worker count, RunBatch must produce results byte-identical to a
+// sequential Run per net — same index, slack bits, placement and stats.
+func TestRunBatchMatchesSequential(t *testing.T) {
 	nets := batchNets(72)
 	lib := bufferkit.GenerateLibrary(12)
 	d := bufferkit.Driver{R: 0.25, K: 10}
 
-	want := make([]*bufferkit.Result, len(nets))
+	want := make([]*bufferkit.NetResult, len(nets))
 	for i, tr := range nets {
-		res, err := bufferkit.Insert(tr, lib, bufferkit.Options{Driver: d})
-		if err != nil {
-			t.Fatalf("net %d: %v", i, err)
-		}
-		want[i] = res
+		want[i] = solve(t, tr, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		got, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{Driver: d, Workers: workers})
+		got, err := batchSolver(t, lib, d, workers).RunBatch(ctxBG(), nets)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,18 +60,11 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 			if got[i] == nil {
 				t.Fatalf("workers=%d net %d: nil result", workers, i)
 			}
-			if math.Float64bits(got[i].Slack) != math.Float64bits(want[i].Slack) {
-				t.Fatalf("workers=%d net %d: slack %v != sequential %v", workers, i, got[i].Slack, want[i].Slack)
+			if got[i].Index != i {
+				t.Fatalf("workers=%d net %d: index %d", workers, i, got[i].Index)
 			}
-			if len(got[i].Placement) != len(want[i].Placement) {
-				t.Fatalf("workers=%d net %d: placement length differs", workers, i)
-			}
-			for v := range got[i].Placement {
-				if got[i].Placement[v] != want[i].Placement[v] {
-					t.Fatalf("workers=%d net %d vertex %d: placement %d != %d",
-						workers, i, v, got[i].Placement[v], want[i].Placement[v])
-				}
-			}
+			equalBits(t, "batch", got[i].Slack, want[i].Slack)
+			equalPlacement(t, "batch", got[i].Placement, want[i].Placement)
 			if got[i].Candidates != want[i].Candidates || !got[i].Stats.SameCounters(want[i].Stats) {
 				t.Fatalf("workers=%d net %d: stats diverged", workers, i)
 			}
@@ -68,17 +72,14 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInsertBatchConcurrent exercises the worker pool with maximum overlap
+// TestRunBatchConcurrent exercises the worker pool with maximum overlap
 // (more nets than workers, all workers busy); run with -race this is the
 // batch data-race test required for the concurrent arena/engine design.
-func TestInsertBatchConcurrent(t *testing.T) {
+func TestRunBatchConcurrent(t *testing.T) {
 	nets := batchNets(96)
-	lib := bufferkit.GenerateLibrary(8)
+	s := batchSolver(t, bufferkit.GenerateLibrary(8), bufferkit.Driver{R: 0.3, K: 5}, 8)
 	for round := 0; round < 3; round++ {
-		res, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-			Driver:  bufferkit.Driver{R: 0.3, K: 5},
-			Workers: 8,
-		})
+		res, err := s.RunBatch(ctxBG(), nets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,9 +91,9 @@ func TestInsertBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestInsertBatchPartialFailure: failed nets surface in a *BatchError while
+// TestRunBatchPartialFailure: failed nets surface in a *BatchError while
 // healthy nets still return results.
-func TestInsertBatchPartialFailure(t *testing.T) {
+func TestRunBatchPartialFailure(t *testing.T) {
 	nets := batchNets(6)
 	// Net 2 demands negative polarity, which a buffer-only library cannot
 	// serve.
@@ -101,7 +102,7 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 	bad.AddSinkPol(v, 1, 1, 2, 100, bufferkit.Negative)
 	nets[2] = bad.MustBuild()
 
-	res, err := bufferkit.InsertBatch(nets, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{Workers: 2})
+	res, err := batchSolver(t, bufferkit.GenerateLibrary(4), bufferkit.Driver{}, 2).RunBatch(ctxBG(), nets)
 	be, ok := err.(*bufferkit.BatchError)
 	if !ok {
 		t.Fatalf("err = %v, want *BatchError", err)
@@ -119,18 +120,23 @@ func TestInsertBatchPartialFailure(t *testing.T) {
 	}
 }
 
-func TestInsertBatchDriverMismatch(t *testing.T) {
+func TestRunBatchDriverMismatch(t *testing.T) {
 	nets := batchNets(3)
-	_, err := bufferkit.InsertBatch(nets, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{
-		Drivers: make([]bufferkit.Driver, 2),
-	})
-	if err == nil {
-		t.Fatal("accepted mismatched per-net drivers")
+	s, err := bufferkit.NewSolver(
+		bufferkit.WithLibrary(bufferkit.GenerateLibrary(4)),
+		bufferkit.WithDrivers(make([]bufferkit.Driver, 2)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verr *bufferkit.ValidationError
+	if _, err := s.RunBatch(ctxBG(), nets); !errors.As(err, &verr) || verr.Field != "drivers" {
+		t.Fatalf("err = %v, want a drivers ValidationError for mismatched per-net drivers", err)
 	}
 }
 
-func TestInsertBatchEmpty(t *testing.T) {
-	res, err := bufferkit.InsertBatch(nil, bufferkit.GenerateLibrary(4), bufferkit.BatchOptions{})
+func TestRunBatchEmpty(t *testing.T) {
+	res, err := batchSolver(t, bufferkit.GenerateLibrary(4), bufferkit.Driver{}, 0).RunBatch(ctxBG(), nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
@@ -156,10 +162,7 @@ func TestWarmEngineZeroAllocs(t *testing.T) {
 	if err := eng.Run(res); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := bufferkit.Insert(tr, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := solve(t, tr, bufferkit.WithLibrary(lib), bufferkit.WithDriver(opt.Driver))
 	if math.Float64bits(res.Slack) != math.Float64bits(cold.Slack) {
 		t.Fatalf("warm %v != cold %v", res.Slack, cold.Slack)
 	}
@@ -201,10 +204,7 @@ func TestWarmEngineAcrossShapes(t *testing.T) {
 		if err := eng.Run(res); err != nil {
 			t.Fatal(err)
 		}
-		want, err := bufferkit.Insert(tr, lib, bufferkit.Options{Driver: d})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := solve(t, tr, bufferkit.WithLibrary(lib), bufferkit.WithDriver(d))
 		if math.Float64bits(res.Slack) != math.Float64bits(want.Slack) {
 			t.Fatalf("net %d: warm engine %v != fresh %v", i, res.Slack, want.Slack)
 		}

@@ -285,21 +285,26 @@ func BenchmarkECOResolve(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertBatch measures batch throughput scaling over a 256-net
+// BenchmarkRunBatch measures batch throughput scaling over a 256-net
 // workload: one engine+arena per worker, results identical to sequential
 // runs (asserted by the batch tests). The nets/s metric is the number the
 // acceptance criterion tracks.
-func BenchmarkInsertBatch(b *testing.B) {
+func BenchmarkRunBatch(b *testing.B) {
 	nets := experiments.BatchWorkload(256) // shared with repro -bench-json
 	lib := library.Generate(16)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			s, err := bufferkit.NewSolver(
+				bufferkit.WithLibrary(lib),
+				bufferkit.WithDriver(drv),
+				bufferkit.WithWorkers(workers),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-					Driver:  drv,
-					Workers: workers,
-				}); err != nil {
+				if _, err := s.RunBatch(context.Background(), nets); err != nil {
 					b.Fatal(err)
 				}
 			}

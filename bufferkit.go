@@ -4,7 +4,7 @@
 //
 // Given a routing tree with sink capacitances and required arrival times,
 // per-edge lumped RC, a set of legal buffer positions and a library of b
-// buffer types, Insert places buffers to maximize the slack at the source
+// buffer types, the Solver places buffers to maximize the slack at the source
 // under the Elmore wire delay model and the linear buffer delay model — in
 // O(bn²) time, versus the classic Lillis–Cheng–Lin O(b²n²).
 //
@@ -57,7 +57,6 @@
 package bufferkit
 
 import (
-	"context"
 	"io"
 
 	"bufferkit/internal/core"
@@ -65,12 +64,10 @@ import (
 	"bufferkit/internal/delay"
 	"bufferkit/internal/library"
 	"bufferkit/internal/libreduce"
-	"bufferkit/internal/lillis"
 	"bufferkit/internal/netgen"
 	"bufferkit/internal/netlist"
 	"bufferkit/internal/segment"
 	"bufferkit/internal/tree"
-	"bufferkit/internal/vanginneken"
 )
 
 // Core model types.
@@ -93,15 +90,11 @@ type (
 	Placement = delay.Placement
 	// TimingResult is the exact Elmore evaluation of one placement.
 	TimingResult = delay.Result
-	// Options configure Insert.
+	// Options configure an Engine's Reset.
 	Options = core.Options
-	// Result is the outcome of Insert.
+	// Result is the outcome of an Engine's Run.
 	Result = core.Result
-	// LillisResult is the outcome of InsertLillis.
-	LillisResult = lillis.Result
-	// VanGinnekenResult is the outcome of InsertVanGinneken.
-	VanGinnekenResult = vanginneken.Result
-	// Stats are Insert's instrumentation counters.
+	// Stats are the algorithms' instrumentation counters.
 	Stats = core.Stats
 	// PruneMode selects transient (exact) or destructive (paper-literal)
 	// convex pruning.
@@ -110,8 +103,6 @@ type (
 	Net = netlist.Net
 	// CostSlackPoint is one point of the cost–slack Pareto frontier.
 	CostSlackPoint = costopt.Point
-	// CostOptions configure CostSlackPareto.
-	CostOptions = costopt.Options
 	// NetOpts parameterize RandomNet topologies.
 	NetOpts = netgen.Opts
 	// Wire is a per-µm wire parameterization for the net generators.
@@ -158,115 +149,14 @@ func (Backend) String() string { return "soa" }
 // NewTreeBuilder returns a builder whose vertex 0 is the source.
 func NewTreeBuilder() *TreeBuilder { return tree.NewBuilder() }
 
-// Insert runs the paper's O(bn²) optimal buffer insertion.
-//
-// Deprecated: construct a Solver (NewSolver with WithLibrary, WithDriver,
-// WithPruneMode) and call Solver.Run, which adds context cancellation and
-// reuses warm engines across runs. Insert remains as a thin wrapper.
-func Insert(t *Tree, lib Library, opt Options) (*Result, error) {
-	s, err := NewSolver(
-		WithLibrary(lib),
-		WithDriver(opt.Driver),
-		WithPruneMode(opt.Prune),
-		WithCheckInvariants(opt.CheckInvariants),
-	)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return legacyResult(nr), nil
-}
-
-// InsertLillis runs the Lillis–Cheng–Lin O(b²n²) baseline (no inverter
-// support). Same optimum as Insert; quadratic in the library size.
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoLillis) and Solver.Run.
-// InsertLillis remains as a thin wrapper.
-func InsertLillis(t *Tree, lib Library, drv Driver) (*LillisResult, error) {
-	s, err := NewSolver(WithLibrary(lib), WithDriver(drv), WithAlgorithm(AlgoLillis))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return &LillisResult{
-		Slack:      nr.Slack,
-		Placement:  nr.Placement,
-		Candidates: nr.Candidates,
-		Stats: lillis.Stats{
-			Positions:     nr.Stats.Positions,
-			MaxListLen:    nr.Stats.MaxListLen,
-			SumListLen:    nr.Stats.SumListLen,
-			BetasInserted: nr.Stats.BetasKept,
-		},
-	}, nil
-}
-
-// InsertVanGinneken runs the classic single-type O(n²) algorithm.
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoVanGinneken) — and a
-// one-type library — and Solver.Run. InsertVanGinneken remains as a thin
-// wrapper.
-func InsertVanGinneken(t *Tree, buf Buffer, drv Driver) (*VanGinnekenResult, error) {
-	s, err := NewSolver(WithLibrary(Library{buf}), WithDriver(drv), WithAlgorithm(AlgoVanGinneken))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return &VanGinnekenResult{
-		Slack:      nr.Slack,
-		Placement:  nr.Placement,
-		Candidates: nr.Candidates,
-		MaxListLen: nr.Stats.MaxListLen,
-	}, nil
-}
-
-// Evaluate computes exact Elmore timing of a placement — the oracle Insert
-// results agree with.
+// Evaluate computes exact Elmore timing of a placement — the oracle every
+// algorithm's results agree with.
 func Evaluate(t *Tree, lib Library, p Placement, drv Driver) (*TimingResult, error) {
 	return delay.Evaluate(t, lib, p, drv)
 }
 
 // NewPlacement returns an all-unbuffered placement for n vertices.
 func NewPlacement(n int) Placement { return delay.NewPlacement(n) }
-
-// CostSlackPareto computes the buffer-cost versus slack trade-off frontier
-// (the paper's cost-reduction application).
-//
-// Deprecated: use NewSolver with WithAlgorithm(AlgoCostSlack) and
-// Solver.Run; NetResult.Frontier carries the frontier. CostSlackPareto
-// remains as a thin wrapper.
-func CostSlackPareto(t *Tree, lib Library, opt CostOptions) ([]CostSlackPoint, error) {
-	if opt.NoCrossLevelPrune {
-		// The ablation switch has no Solver option; take the direct path.
-		return costopt.Pareto(t, lib, opt)
-	}
-	s, err := NewSolver(
-		WithLibrary(lib),
-		WithDriver(opt.Driver),
-		WithAlgorithm(AlgoCostSlack),
-		WithMaxCost(opt.MaxCost),
-	)
-	if err != nil {
-		return nil, err
-	}
-	nr, err := s.Run(context.Background(), t)
-	if err != nil {
-		return nil, err
-	}
-	return nr.Frontier, nil
-}
 
 // GenerateLibrary builds a graded library of the given size spanning the
 // paper's TSMC 180 nm parameter ranges.

@@ -16,7 +16,8 @@
 //   - Optional hedged solves: when a P95 latency hint is configured, a
 //     second identical request races the first after that delay and the
 //     first response wins. Solves are idempotent and cached server-side,
-//     so hedging is safe.
+//     so hedging is safe; a hedge budget like the retry budget keeps an
+//     overloaded server from receiving a duplicate of every slow solve.
 //   - W3C traceparent propagation: every request carries a traceparent
 //     header, minted once per logical call so retries, failovers and both
 //     hedge arms share a single trace id on the server side. The server's
@@ -36,11 +37,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"bufferkit/internal/fleet"
 	"bufferkit/internal/obs"
 )
 
@@ -78,7 +81,9 @@ type Client struct {
 	// hedges: batch, chip and session requests are streaming or stateful —
 	// replaying one is not idempotent — so they are never raced.
 	hedgeAfter time.Duration
-	budget     *retryBudget
+	// budget bounds retries (nil = unlimited); hedges bounds hedge arms.
+	budget *fleet.Budget
+	hedges *fleet.Budget
 	// Fleet affinity state (see fleet.go): the member ring mirrors the
 	// servers' consistent hash, so Solve goes straight to a digest's cache
 	// home. peerMu guards it because BootstrapPeers can refresh the list
@@ -113,13 +118,16 @@ func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p } }
 // multiplying it. Defaults: ratio 0.1, burst 10. ratio <= 0 disables the
 // budget (every retry allowed).
 func WithRetryBudget(ratio float64, burst int) Option {
-	return func(c *Client) { c.budget = newRetryBudget(ratio, burst) }
+	return func(c *Client) { c.budget = fleet.NewBudget(ratio, burst) }
 }
 
 // WithHedging arms hedged solves: if a Solve has not answered within d —
 // a P95 latency hint from /metrics, typically — a second identical
-// request is launched and the first response wins. Only Solve hedges;
-// batch streams and yield sweeps are too expensive to double-run.
+// request is launched and the first response wins. Hedges spend from a
+// budget that every successful Solve refills by 0.1, up to 10 in hand,
+// so a slow server is not sent a duplicate of every solve. Only Solve
+// hedges; batch streams and yield sweeps are too expensive to
+// double-run.
 func WithHedging(d time.Duration) Option { return func(c *Client) { c.hedgeAfter = d } }
 
 // New builds a Client for a bufferkitd base URL such as
@@ -135,7 +143,8 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c := &Client{
 		base:   u,
 		hc:     &http.Client{},
-		budget: newRetryBudget(0.1, 10),
+		budget: fleet.NewBudget(fleet.DefaultBudgetRatio, fleet.DefaultBudgetBurst),
+		hedges: fleet.NewBudget(fleet.DefaultBudgetRatio, fleet.DefaultBudgetBurst),
 		sleep:  sleepCtx,
 		jitter: rand.Float64,
 		now:    time.Now,
@@ -248,7 +257,7 @@ func (c *Client) doTargets(ctx context.Context, method, path string, body []byte
 	target := 0
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if !c.budget.allow() {
+			if !c.budget.Allow() {
 				return nil, fmt.Errorf("%w after %v", ErrBudgetExhausted, lastErr)
 			}
 			var apiErr *APIError
@@ -265,7 +274,7 @@ func (c *Client) doTargets(ctx context.Context, method, path string, body []byte
 		}
 		resp, err := c.attemptAt(ctx, targets[target%len(targets)], method, path, body)
 		if err == nil {
-			c.budget.deposit()
+			c.budget.Earn()
 			return resp, nil
 		}
 		lastErr = err
@@ -384,105 +393,85 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 // remaining members as failover order. When hedging is armed
 // (WithHedging) and the first request has not answered within the hint,
 // a second identical request races it (against the replica, in fleet
-// mode) and the first response wins — safe because solves are idempotent
-// and cached server-side.
+// mode) if the hedge budget allows, and the first response wins — safe
+// because solves are idempotent and cached server-side.
 func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResult, error) {
-	targets := c.solveTargets(&req)
-	if c.hedgeAfter <= 0 {
-		var out SolveResult
-		body, err := json.Marshal(&req)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.doTargets(ctx, http.MethodPost, "/v1/solve", body, targets)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, err
-		}
-		out.Trace = resp.Header.Get("X-Bufferkit-Trace")
-		return &out, nil
-	}
-	return c.hedgedSolve(ctx, req, targets)
-}
-
-func (c *Client) hedgedSolve(ctx context.Context, req SolveRequest, targets []*url.URL) (*SolveResult, error) {
 	body, err := json.Marshal(&req)
 	if err != nil {
 		return nil, err
 	}
-	// Both hedge arms carry the same traceparent (minted here, before the
-	// arms fork), so the two server-side traces share one trace id and the
-	// race is reconstructible from either node's /debug/traces.
-	ctx, _ = obs.EnsureTraceparent(ctx)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser is canceled on return
-	type outcome struct {
+	targets := c.solveTargets(&req)
+	if c.hedgeAfter <= 0 {
+		return c.solveAt(ctx, body, targets)
+	}
+	// Two arms, each retrying at its own target only: the digest's home
+	// and replica, or the base URL twice on a single node.
+	if len(targets) == 0 {
+		targets = []*url.URL{c.base}
+	}
+	arms := []*url.URL{targets[0], targets[min(1, len(targets)-1)]}
+	names := []string{arms[0].String(), arms[1].String()}
+	failover := names[0] != names[1]
+	type armResult struct {
 		res *SolveResult
-		idx int
 		err error
 	}
-	results := make(chan outcome, 2)
-	// Arm i talks to its own target (in fleet mode the hedge races the
-	// replica, not the same node), retrying within that arm only — the
-	// other arm covers the other member.
-	launch := func(i int) {
-		var t []*url.URL
-		if len(targets) > 0 {
-			t = []*url.URL{targets[i%len(targets)]}
-		}
-		resp, err := c.doTargets(ctx, http.MethodPost, "/v1/solve", body, t)
-		if err != nil {
-			results <- outcome{idx: i, err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var out SolveResult
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			results <- outcome{idx: i, err: err}
-			return
-		}
-		out.Trace = resp.Header.Get("X-Bufferkit-Trace")
-		results <- outcome{res: &out, idx: i}
+	// Both arms carry the same traceparent (minted here, before they
+	// fork), so the two server-side traces share one trace id and the
+	// race is reconstructible from either node's /debug/traces.
+	ctx, _ = obs.EnsureTraceparent(ctx)
+	raced := false
+	out, _, hedgeWon, err := fleet.Hedged(ctx, names, c.hedgeAfter,
+		func() bool {
+			if !c.hedges.Allow() {
+				return false
+			}
+			raced = true
+			c.stats.hedgesLaunched.Add(1)
+			return true
+		}, nil,
+		func(ctx context.Context, target string) (armResult, error) {
+			res, err := c.solveAt(ctx, body, []*url.URL{arms[slices.Index(names, target)]})
+			// Only a retryable failure at one of two distinct members
+			// fails over to the other. A verdict, an empty retry budget
+			// or a single node's spent retries ends the call: the other
+			// arm would only repeat it.
+			if err != nil && failover && retryable(err) && !errors.Is(err, ErrBudgetExhausted) {
+				return armResult{}, err
+			}
+			return armResult{res, err}, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	go launch(0)
-	hedge := time.NewTimer(c.hedgeAfter)
-	defer hedge.Stop()
-	inFlight, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case <-hedge.C:
-			if !hedged {
-				hedged = true
-				inFlight++
-				c.stats.hedgesLaunched.Add(1)
-				go launch(1)
-			}
-		case o := <-results:
-			if o.err == nil {
-				if hedged {
-					// First success wins; score the race for Stats.
-					if o.idx > 0 {
-						c.stats.hedgeWins.Add(1)
-					} else {
-						c.stats.hedgeLosses.Add(1)
-					}
-				}
-				return o.res, nil // cancel() stops the loser
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if inFlight--; inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	if out.err != nil {
+		return nil, out.err
+	}
+	c.hedges.Earn()
+	if raced {
+		// First success wins; score the race for Stats.
+		if hedgeWon {
+			c.stats.hedgeWins.Add(1)
+		} else {
+			c.stats.hedgeLosses.Add(1)
 		}
 	}
+	return out.res, nil
+}
+
+// solveAt posts an encoded solve through the retry loop over targets.
+func (c *Client) solveAt(ctx context.Context, body []byte, targets []*url.URL) (*SolveResult, error) {
+	resp, err := c.doTargets(ctx, http.MethodPost, "/v1/solve", body, targets)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out SolveResult
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, err
+	}
+	out.Trace = resp.Header.Get("X-Bufferkit-Trace")
+	return &out, nil
 }
 
 // Yield runs Monte Carlo / multi-corner yield analysis on one net.
@@ -518,48 +507,6 @@ func (c *Client) Metrics(ctx context.Context) (map[string]json.RawMessage, error
 		return nil, err
 	}
 	return m, nil
-}
-
-// retryBudget is the token bucket bounding retry volume.
-type retryBudget struct {
-	mu     sync.Mutex
-	ratio  float64
-	burst  float64
-	tokens float64
-}
-
-func newRetryBudget(ratio float64, burst int) *retryBudget {
-	if ratio <= 0 {
-		return nil
-	}
-	if burst <= 0 {
-		burst = 10
-	}
-	return &retryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
-}
-
-// allow spends one token for a retry; false means the budget is dry.
-func (b *retryBudget) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// deposit credits a successful request.
-func (b *retryBudget) deposit() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens = min(b.tokens+b.ratio, b.burst)
 }
 
 // sleepCtx sleeps for d or until ctx fires.

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -284,5 +285,64 @@ func TestNoHedgeOnStreamingEndpoints(t *testing.T) {
 	}
 	if s := c.Stats(); s.HedgesLaunched != 0 {
 		t.Fatalf("streaming endpoints launched hedges: %+v", s)
+	}
+}
+
+// TestHedgedSolveVerdictEndsCall: with hedging armed in fleet mode, the
+// home's verdict (a 504 here) is the answer — the replica is never asked
+// — while a home that is down fails over to the replica without spending
+// a hedge.
+func TestHedgedSolveVerdictEndsCall(t *testing.T) {
+	var calls, verdict [2]atomic.Int64
+	urls := make([]string, 2)
+	for i := range urls {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls[i].Add(1)
+			if verdict[i].Load() != 0 {
+				w.WriteHeader(http.StatusGatewayTimeout)
+				fmt.Fprint(w, `{"error":"solve canceled: deadline"}`)
+				return
+			}
+			fmt.Fprint(w, fakeSolveBody)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	req := SolveRequest{Net: "verdict-net", Library: "verdict-lib"}
+	home := homeIndex(urls, req)
+	verdict[home].Store(1)
+	c, err := New(urls[0], WithPeers(urls...), WithHedging(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *APIError
+	if _, err := c.Solve(context.Background(), req); !errors.As(err, &apiErr) || apiErr.Status != http.StatusGatewayTimeout {
+		t.Fatalf("err = %v, want the home's 504", err)
+	}
+	if n := calls[1-home].Load(); n != 0 {
+		t.Fatalf("replica saw %d solves after the home's verdict, want 0", n)
+	}
+
+	// A dead home: nobody listening on its port.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	live := 1 - home
+	ringURLs := []string{dead.URL, urls[live]}
+	for i := 0; ringURLs[homeIndex(ringURLs, req)] != dead.URL; i++ {
+		req.Net = fmt.Sprintf("verdict-net-%d", i)
+	}
+	c, err = New(urls[live], WithPeers(ringURLs...), WithHedging(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sleep = func(context.Context, time.Duration) error { return nil }
+	if res, err := c.Solve(context.Background(), req); err != nil || res.Slack != 42 {
+		t.Fatalf("solve with a dead home = %+v, %v; want the replica's answer", res, err)
+	}
+	if n := calls[live].Load(); n != 1 {
+		t.Fatalf("replica saw %d solves, want 1 failover", n)
+	}
+	if s := c.Stats(); s.HedgesLaunched != 0 {
+		t.Fatalf("failover counted as a hedge: %+v", s)
 	}
 }

@@ -37,7 +37,7 @@ const (
 // program with zero allocations.
 //
 // An Arena is not safe for concurrent use; batch workloads use one arena per
-// worker (see bufferkit.InsertBatch).
+// worker (see bufferkit.Solver.Stream).
 type Arena struct {
 	dec    [][]decRecord
 	nDec   int

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,5 +501,60 @@ func TestChaosHedgedSolve(t *testing.T) {
 		t.Fatalf("transport saw %d requests, want original + hedge", got)
 	}
 	ts.Close()
+	check()
+}
+
+// TestChaosHedgeBudget: about 4× offered load over engine capacity, with
+// hedging armed at a delay every admitted solve outlasts. The hedge
+// budget caps duplicates at the burst plus a tenth of the successful
+// solves; unbudgeted, nearly every slow solve would send a second copy
+// into the already overloaded server.
+func TestChaosHedgeBudget(t *testing.T) {
+	check := leakCheck(t)
+	rig := newRig(t, server.Config{
+		MaxConcurrent: 2,
+		MaxQueue:      2,
+		QueueTimeout:  50 * time.Millisecond,
+	},
+		client.WithHedging(10*time.Millisecond),
+		client.WithRetry(client.RetryPolicy{MaxAttempts: 1}))
+	chaoskit.SetSlowDelay(100 * time.Millisecond)
+	defer chaoskit.SetSlowDelay(50 * time.Millisecond)
+	lib := readTestdata(t, "lib8.buf")
+
+	// Capacity is 2 slots / 100 ms = 20 solves/s; offer 80/s for 1 s.
+	const n, gap = 80, 12500 * time.Microsecond
+	var solved atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, err := rig.client.Solve(context.Background(), client.SolveRequest{
+				Net: distinctNet(t, i), Library: lib,
+				SolveOptions: client.SolveOptions{Algorithm: chaoskit.AlgoSlow},
+			})
+			if err == nil {
+				solved.Add(1)
+				return
+			}
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+				t.Errorf("request %d: %v, want a result or a 429", i, err)
+			}
+		}(i)
+		time.Sleep(gap)
+	}
+	wg.Wait()
+	s := rig.client.Stats()
+	t.Logf("solved %d of %d, stats %+v", solved.Load(), n, s)
+	if s.HedgesLaunched == 0 {
+		t.Fatal("hedging is armed but no solve hedged")
+	}
+	if limit := 10 + 0.1*float64(solved.Load()); float64(s.HedgesLaunched) > limit {
+		t.Fatalf("%d hedges launched for %d successful solves, budget allows %.1f",
+			s.HedgesLaunched, solved.Load(), limit)
+	}
+	rig.close()
 	check()
 }

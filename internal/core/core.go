@@ -140,7 +140,7 @@ type Result struct {
 // Insert computes optimal buffer insertion on t with library lib — the
 // single-shot entry point, paying construction on every call. Workloads
 // that optimize many nets (or the same net repeatedly) should hold an
-// Engine and Reset/Run it instead, or use bufferkit.InsertBatch.
+// Engine and Reset/Run it instead, or use bufferkit.Solver.RunBatch.
 func Insert(t *tree.Tree, lib library.Library, opt Options) (*Result, error) {
 	e := NewEngine()
 	if err := e.Reset(t, lib, opt); err != nil {

@@ -136,7 +136,10 @@ func (e *engine) run() ([]Point, error) {
 	root := lists[0]
 	var out []Point
 	for _, w := range root.sortedCosts() {
-		q, c, dec, _ := root[w].Best(e.opt.Driver.R)
+		q, c, dec, ok := root[w].Best(e.opt.Driver.R)
+		if !ok {
+			continue // every candidate at this level overflowed and was pruned
+		}
 		slack := q - e.opt.Driver.R*c - e.opt.Driver.K
 		if len(out) > 0 && slack <= out[len(out)-1].Slack {
 			continue // dominated by a cheaper level
@@ -144,6 +147,9 @@ func (e *engine) run() ([]Point, error) {
 		p := delay.NewPlacement(e.t.Len())
 		e.arena.Fill(dec, p)
 		out = append(out, Point{Cost: w, Slack: slack, Placement: p})
+	}
+	if len(out) == 0 {
+		return nil, solvererr.Infeasible("costopt: no feasible solution at the source")
 	}
 	return out, nil
 }
@@ -156,6 +162,9 @@ func (e *engine) addBuffer(v int, acc levels, allowed []int) {
 	hull := &candidate.Hull{}
 	for _, w := range acc.sortedCosts() {
 		l := acc[w]
+		if l.Len() == 0 {
+			continue // AddWire pruned the whole level: nothing to buffer
+		}
 		hull.Reset()
 		l.AppendHullInto(hull)
 		p, cursor := 0, 0

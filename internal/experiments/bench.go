@@ -22,7 +22,7 @@ import (
 )
 
 // BatchWorkload returns the deterministic mixed batch of n small nets used
-// by both the root BenchmarkInsertBatch and repro -bench-json, so the two
+// by both the root BenchmarkRunBatch and repro -bench-json, so the two
 // trajectories measure the same workload under the same name.
 func BatchWorkload(n int) []*tree.Tree {
 	nets := make([]*tree.Tree, n)
@@ -397,14 +397,18 @@ func BenchJSON(cfg Config, w io.Writer) error {
 
 	nets := BatchWorkload(256)
 	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
+		s, err := bufferkit.NewSolver(
+			bufferkit.WithLibrary(lib),
+			bufferkit.WithDriver(Driver),
+			bufferkit.WithWorkers(workers),
+		)
+		if err != nil {
+			return err
+		}
 		add(fmt.Sprintf("batch/w%d", workers), len(nets), testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bufferkit.InsertBatch(nets, lib, bufferkit.BatchOptions{
-					Driver:  Driver,
-					Workers: workers,
-				}); err != nil {
+				if _, err := s.RunBatch(context.Background(), nets); err != nil {
 					b.Fatal(err)
 				}
 			}

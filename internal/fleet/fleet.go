@@ -31,11 +31,12 @@ type Config struct {
 	// (0 = 5 s). The actual sub-deadline is the smaller of this and most
 	// of the request's remaining budget.
 	ForwardTimeout time.Duration
-	// HedgeRatio/HedgeBurst bound hedge volume like the client's retry
-	// budget: each forward earns HedgeRatio hedge tokens (capped at
-	// HedgeBurst) and each hedge spends one, so a uniformly slow fleet
-	// degrades to plain forwarding instead of doubling its own load
-	// (ratio 0 = default 0.1; ratio < 0 disables hedging).
+	// HedgeRatio/HedgeBurst bound hedge volume with a Budget, like the
+	// client's retries and hedges: each forward earns HedgeRatio hedge
+	// tokens (capped at HedgeBurst) and each hedge spends one, so a
+	// uniformly slow fleet degrades to plain forwarding instead of
+	// doubling its own load (ratio 0 = default 0.1; ratio < 0 disables
+	// hedging).
 	HedgeRatio float64
 	HedgeBurst int
 	// Detector tunes the failure detector.
@@ -64,10 +65,10 @@ func (c *Config) fill() {
 		c.ForwardTimeout = 5 * time.Second
 	}
 	if c.HedgeRatio == 0 {
-		c.HedgeRatio = 0.1
+		c.HedgeRatio = DefaultBudgetRatio
 	}
 	if c.HedgeBurst <= 0 {
-		c.HedgeBurst = 10
+		c.HedgeBurst = DefaultBudgetBurst
 	}
 }
 
@@ -96,12 +97,10 @@ func (c *Config) Validate() error {
 // detector, the probe loop, and the hedge budget. Create with New, start
 // the prober with Start, and Close before discarding.
 type Fleet struct {
-	cfg  Config
-	ring *Ring
-	det  *Detector
-
-	hedgeMu     sync.Mutex
-	hedgeTokens float64
+	cfg    Config
+	ring   *Ring
+	det    *Detector
+	hedges *Budget
 
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -121,11 +120,11 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	return &Fleet{
-		cfg:         cfg,
-		ring:        NewRing(cfg.Peers),
-		det:         NewDetector(others, cfg.Detector),
-		hedgeTokens: float64(cfg.HedgeBurst),
-		stop:        make(chan struct{}),
+		cfg:    cfg,
+		ring:   NewRing(cfg.Peers),
+		det:    NewDetector(others, cfg.Detector),
+		hedges: NewBudget(cfg.HedgeRatio, cfg.HedgeBurst),
+		stop:   make(chan struct{}),
 	}, nil
 }
 
@@ -177,28 +176,11 @@ func (f *Fleet) Route(key uint64) []string {
 
 // AllowHedge spends one hedge token; false means the budget is dry and
 // the caller should wait out the primary instead of racing it.
-func (f *Fleet) AllowHedge() bool {
-	if f.cfg.HedgeRatio < 0 {
-		return false
-	}
-	f.hedgeMu.Lock()
-	defer f.hedgeMu.Unlock()
-	if f.hedgeTokens < 1 {
-		return false
-	}
-	f.hedgeTokens--
-	return true
-}
+// A negative HedgeRatio never hedges.
+func (f *Fleet) AllowHedge() bool { return f.cfg.HedgeRatio >= 0 && f.hedges.Allow() }
 
 // EarnHedge credits the hedge budget for one completed forward.
-func (f *Fleet) EarnHedge() {
-	if f.cfg.HedgeRatio <= 0 {
-		return
-	}
-	f.hedgeMu.Lock()
-	f.hedgeTokens = min(f.hedgeTokens+f.cfg.HedgeRatio, float64(f.cfg.HedgeBurst))
-	f.hedgeMu.Unlock()
-}
+func (f *Fleet) EarnHedge() { f.hedges.Earn() }
 
 // Start launches the probe loop: every ProbeInterval, probe is invoked
 // for each other member and its verdict feeds the failure detector. The

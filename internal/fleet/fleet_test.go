@@ -281,6 +281,29 @@ func TestHedgeBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetDisableRules: each caller's off switch. A client budget with
+// ratio <= 0 is nil and allows every retry; a server HedgeRatio < 0
+// never hedges, however many forwards complete.
+func TestBudgetDisableRules(t *testing.T) {
+	unlimited := NewBudget(0, 1)
+	for i := 0; i < 100; i++ {
+		if !unlimited.Allow() {
+			t.Fatalf("ratio 0 budget refused request %d", i)
+		}
+	}
+	f, err := New(Config{Self: "http://a", Peers: []string{"http://a", "http://b"}, HedgeRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 100; i++ {
+		f.EarnHedge()
+		if f.AllowHedge() {
+			t.Fatalf("HedgeRatio < 0 granted a hedge after %d forwards", i+1)
+		}
+	}
+}
+
 func TestProbeLoopDrivesDetector(t *testing.T) {
 	f, err := New(Config{
 		Self:          "http://a",

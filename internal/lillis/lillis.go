@@ -150,6 +150,10 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, lib library.Libra
 	}
 
 	root := lists[0]
+	if root.Len() == 0 {
+		// Every candidate's slack overflowed to -Inf and was pruned.
+		return solvererr.Infeasible("lillis: no feasible solution at the source")
+	}
 	res.Candidates = root.Len()
 	q, c, dec, _ := root.Best(drv.R)
 	res.Slack = q - drv.R*c - drv.K

@@ -494,7 +494,7 @@ func (a *lillisAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetRes
 	if a.eng == nil {
 		a.eng = lillis.NewEngine()
 	}
-	res := &LillisResult{}
+	res := &lillis.Result{}
 	if err := a.eng.RunContext(ctx, t, cfg.Library, cfg.Driver, res); err != nil {
 		return nil, err
 	}
@@ -561,9 +561,6 @@ func (costAlgo) Solve(ctx context.Context, t *Tree, cfg RunConfig) (*NetResult, 
 	pts, err := costopt.ParetoContext(ctx, t, cfg.Library, costopt.Options{Driver: cfg.Driver, MaxCost: cfg.MaxCost})
 	if err != nil {
 		return nil, err
-	}
-	if len(pts) == 0 {
-		return nil, solvererr.Infeasible("costslack: empty frontier")
 	}
 	best := pts[len(pts)-1]
 	return &NetResult{Slack: best.Slack, Placement: best.Placement, Frontier: pts}, nil
