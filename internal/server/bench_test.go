@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bufferkit"
+	"bufferkit/internal/netgen"
 )
 
 // benchBody builds the /v1/solve payload once.
@@ -29,8 +30,11 @@ func benchBody(b *testing.B) []byte {
 }
 
 func benchSolve(b *testing.B, cfg Config) {
+	benchSolveBody(b, cfg, benchBody(b))
+}
+
+func benchSolveBody(b *testing.B, cfg Config, body []byte) {
 	h := New(cfg).Handler()
-	body := benchBody(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,6 +76,57 @@ func BenchmarkServerSolveObs(b *testing.B) {
 // recorder. This is the baseline the 2% tracing budget is measured from.
 func BenchmarkServerSolveNoObs(b *testing.B) {
 	benchSolve(b, Config{CacheEntries: -1, TraceRing: -1})
+}
+
+// mixBody builds a service-mix-sized /v1/solve payload: a generated
+// 64-sink net with the experiments' driver under GenerateLibrary(64),
+// about 20 KB of JSON, the top of service-mix's size range.
+func mixBody(b *testing.B) []byte {
+	var lib bytes.Buffer
+	if err := bufferkit.WriteLibrary(&lib, bufferkit.GenerateLibrary(64)); err != nil {
+		b.Fatal(err)
+	}
+	tr := netgen.Random(netgen.Opts{Sinks: 64, Seed: 1})
+	body, err := json.Marshal(solveRequest{
+		Net:     netText(b, tr, "", bufferkit.Driver{R: 0.2, K: 15}),
+		Library: lib.String(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDecodeSolveEnvelope measures the decode layer alone on a
+// service-mix-sized body: read into the pooled buffer and walk the
+// envelope, unquoting the net and library texts.
+func BenchmarkDecodeSolveEnvelope(b *testing.B) {
+	body := mixBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		e := envelopePool.Get().(*solveEnvelope)
+		var err error
+		if e.body, err = readBody(e.body, bytes.NewReader(body), int64(len(body))); err == nil {
+			err = e.decode()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.release()
+	}
+}
+
+// BenchmarkServerSolveMixHit is the cache-hit path on a service-mix-sized
+// body: decode, digest, lookup and encode.
+func BenchmarkServerSolveMixHit(b *testing.B) {
+	benchSolveBody(b, Config{}, mixBody(b))
+}
+
+// BenchmarkServerSolveMixMiss is the uncached path on the same body: decode,
+// parse, a small DP and encode.
+func BenchmarkServerSolveMixMiss(b *testing.B) {
+	benchSolveBody(b, Config{CacheEntries: -1}, mixBody(b))
 }
 
 // BenchmarkServerOverload drives distinct (cache-busting) solves at a

@@ -76,32 +76,38 @@ type errorResponse struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// handleSolve solves one net: cache lookup on the raw payload digests,
-// then parse, and run under the request deadline — collapsing onto an
+// handleSolve solves one net: decode the envelope (envelope.go), look the
+// cache up on the digests of the unquoted net and library texts, then
+// parse, and run under the request deadline — collapsing onto an
 // identical in-flight solve when one exists. The winner of a singleflight
 // populates the cache; followers are answered from the shared result with
 // no engine run of their own.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solveReqs.Add(1)
 	tr := obs.TraceFromContext(r.Context())
-	var req solveRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	decode := tr.StartSpan("decode")
+	env, err := s.readSolveEnvelope(w, r)
+	decode.End()
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	key := cache.NewKey([]byte(req.Net), []byte(req.Library), req.solveOptions.cacheOptions())
+	key := cache.NewKey(env.net, env.library, env.opts.cacheOptions())
 	tr.Set("digest", digestAttr(key.Net))
 	lookup := tr.StartSpan("cache_lookup")
 	v, ok := s.cache.Get(key)
 	lookup.Set("hit", ok)
 	lookup.End()
 	if ok {
+		env.release()
 		resp := *v.(*solveResponse) // copy: cached entries are immutable
 		resp.Cached = true
 		tr.Set("cached", true)
 		writeJSON(w, http.StatusOK, &resp)
 		return
 	}
+	req := env.request()
+	env.release()
 	// Fleet routing: a node that does not own this digest forwards it to
 	// its cache home before spending any parse or engine time here. False
 	// means solve locally — this node is an owner, the request already
@@ -109,7 +115,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.handleSolveForward(w, r, &req, key) {
 		return
 	}
+	parse := tr.StartSpan("parse")
 	net, lib, err := parsePayload(req.Net, req.Library)
+	parse.End()
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -413,14 +421,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
-		}
-		return badRequestf("", "malformed JSON body: %v", err)
+		return bodyError(err)
 	}
 	return nil
+}
+
+// bodyError maps a failure to read or decode a request body onto a 413
+// when the body was over the size limit and a 400 otherwise.
+func bodyError(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	}
+	return badRequestf("", "malformed JSON body: %v", err)
 }
 
 // parsePayload parses the raw net and library texts, mapping failures to

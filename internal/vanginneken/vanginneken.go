@@ -9,6 +9,7 @@ package vanginneken
 
 import (
 	"context"
+	"math"
 
 	"bufferkit/internal/candidate"
 	"bufferkit/internal/delay"
@@ -96,6 +97,9 @@ func InsertContext(ctx context.Context, t *tree.Tree, buf library.Buffer, drv de
 	}
 
 	root := lists[0]
+	if len(root) == 0 {
+		return nil, solvererr.Infeasible("vanginneken: no candidate at the source")
+	}
 	res.Candidates = len(root)
 	best := root[0]
 	bv := best.q - drv.R*best.c
@@ -103,6 +107,10 @@ func InsertContext(ctx context.Context, t *tree.Tree, buf library.Buffer, drv de
 		if v := cd.q - drv.R*cd.c; v > bv {
 			best, bv = cd, v
 		}
+	}
+	if math.IsInf(bv, 0) || math.IsNaN(bv) {
+		// The Elmore delay overflowed on every path to the source.
+		return nil, solvererr.Infeasible("vanginneken: no feasible solution at the source")
 	}
 	res.Slack = bv - drv.K
 	ar.Fill(best.dec, res.Placement)

@@ -280,6 +280,15 @@ sink s1 parent v1 res 1e200 cap 1e200 load 10 rat 1000
 			t.Fatalf("%s on an overflowing net: res %+v, err %v; want ErrInfeasible", algo, res, err)
 		}
 	}
+	// van Ginneken takes a one-type library only.
+	vg, err := bufferkit.NewSolver(bufferkit.WithLibrary(lib[:1]), bufferkit.WithDriver(big.Driver),
+		bufferkit.WithAlgorithm(bufferkit.AlgoVanGinneken))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := vg.Run(ctxBG(), big.Tree); !errors.Is(err, bufferkit.ErrInfeasible) {
+		t.Fatalf("%s on an overflowing net: res %+v, err %v; want ErrInfeasible", bufferkit.AlgoVanGinneken, res, err)
+	}
 
 	// A canceled context → ErrCanceled.
 	ctx, cancel := context.WithCancel(ctxBG())
